@@ -53,7 +53,8 @@ def test_ablation_weights_vs_binary(ablation_split, benchmark):
     binary = _trained(ablation_split)
     # Replace the aggregation with binary cluster occurrence: every path's
     # weight becomes uniform, so feature values count membership only.
-    original = binary.embed_script
+    # Patched on the embedder, which both fit and scanning go through.
+    original = binary.embedder.embed
 
     def binary_embed(contexts):
         vectors, weights = original(contexts)
@@ -61,7 +62,7 @@ def test_ablation_weights_vs_binary(ablation_split, benchmark):
             weights = np.full_like(weights, 1.0 / len(weights))
         return vectors, weights
 
-    binary.embed_script = binary_embed
+    binary.embedder.embed = binary_embed
     binary.fit(ablation_split.train.sources, ablation_split.train.labels)
 
     f1_weighted = _avg_obfuscated_f1(weighted, ablation_split)

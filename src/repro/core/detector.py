@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.embedding import PathEmbedder
-from repro.jsparser import JSSyntaxError
-from repro.paths import ExtractionError, PathContext, PathExtractor
+from repro.paths import PathContext, PathExtractor
+from repro.pipeline.script import ScriptEmbedding, ScriptPipeline
 
 from .config import JSRevealerConfig
 from .features import FeatureExtractor
@@ -110,6 +110,24 @@ class JSRevealer:
 
         return _Timer()
 
+    @property
+    def pipeline(self) -> ScriptPipeline:
+        """The per-script prefix (extract → embed → cap) over this model."""
+        return ScriptPipeline(self.extractor, self.embedder, self.config.max_paths_per_script)
+
+    def record_stages(self, script: ScriptEmbedding) -> None:
+        """Add one script's extract/embed cost to the Table VIII accounting."""
+        self.stage_seconds["path_extraction"] += script.extract_ms / 1000.0
+        self.stage_counts["path_extraction"] += 1
+        self.stage_seconds["embedding"] += script.embed_ms / 1000.0
+        self.stage_counts["embedding"] += 1
+
+    def run_script(self, source: str) -> ScriptEmbedding:
+        """Stages 1-2 for one script, in-process and accounted."""
+        script = self.pipeline.run(source)
+        self.record_stages(script)
+        return script
+
     def extract_paths(self, source: str) -> list[PathContext]:
         """Stage 1: parse + enhanced AST + bounded path contexts.
 
@@ -117,10 +135,7 @@ class JSRevealer:
         the paper's tooling skips them the same way).
         """
         with self._timed("path_extraction"):
-            try:
-                return self.extractor.extract_from_source(source)
-            except (JSSyntaxError, ExtractionError, RecursionError):
-                return []
+            return self.pipeline.extract(source)[0]
 
     def embed_script(
         self, contexts: list[PathContext], return_indices: bool = False
@@ -133,11 +148,7 @@ class JSRevealer:
         aligned with the vectors.
         """
         with self._timed("embedding"):
-            vectors, weights = self.embedder.embed(contexts)
-        kept = np.arange(len(vectors))
-        if len(vectors) > self.config.max_paths_per_script:
-            kept = np.argsort(weights)[::-1][: self.config.max_paths_per_script]
-            vectors, weights = vectors[kept], weights[kept]
+            vectors, weights, kept = self.pipeline.embed(contexts)
         if return_indices:
             return vectors, weights, kept
         return vectors, weights
@@ -164,13 +175,12 @@ class JSRevealer:
         embedded: list[tuple[np.ndarray, np.ndarray]] = []
         signatures: list[list[str]] = []
         for source in sources:
-            contexts = self.extract_paths(source)
-            vectors, weights, kept = self.embed_script(contexts, return_indices=True)
-            embedded.append((vectors, weights))
-            # Signatures follow the kept-index array so that when the path
-            # cap drops low-weight rows, each signature still names the path
-            # its vector came from.
-            signatures.append([contexts[int(j)].signature() for j in kept])
+            script = self.run_script(source)
+            embedded.append((script.vectors, script.weights))
+            # Kept contexts are row-aligned with the vectors, so when the
+            # path cap drops low-weight rows each signature still names the
+            # path its vector came from.
+            signatures.append([context.signature() for context in script.contexts or ()])
 
         benign_vectors, benign_sigs = self._pool(embedded, signatures, labels, 0)
         malicious_vectors, malicious_sigs = self._pool(embedded, signatures, labels, 1)
@@ -200,7 +210,8 @@ class JSRevealer:
 
     def features_for(self, sources: list[str]) -> np.ndarray:
         """Normalized cluster-feature matrix for a batch of scripts."""
-        embedded = [self.embed_script(self.extract_paths(source)) for source in sources]
+        scripts = [self.run_script(source) for source in sources]
+        embedded = [(script.vectors, script.weights) for script in scripts]
         with self._timed("feature_transform"):
             return self.feature_extractor.transform(embedded, fit_scaler=False)
 
@@ -224,9 +235,10 @@ class JSRevealer:
     ) -> "ScanReport":
         """Scan a batch of scripts, optionally in parallel and cached.
 
-        ``n_workers > 1`` fans extraction + embedding out over a process
-        pool (verdicts are byte-identical to the sequential path; pool
-        failures degrade to it).  ``cache_dir`` enables the persistent
+        ``n_workers > 1`` fans extraction + embedding out over an
+        :class:`~repro.faults.IsolatedPool` that lives for this call
+        (verdicts are byte-identical to the sequential path; pool failures
+        degrade to it).  ``cache_dir`` enables the persistent
         content-addressed embedding cache, keyed to this model's
         :meth:`fingerprint` so retrained models never see stale entries.
         ``triage=True`` runs the static-analysis rule catalog first:
@@ -264,7 +276,7 @@ class JSRevealer:
             from repro.deobfuscate import Deobfuscator
 
             deobfuscator = Deobfuscator(limits=limits)
-        scanner = BatchScanner(
+        with BatchScanner(
             self,
             n_workers=n_workers,
             cache=cache,
@@ -273,8 +285,8 @@ class JSRevealer:
             quarantine=quarantine,
             tracer=tracer,
             deobfuscate=deobfuscator,
-        )
-        return scanner.scan(sources, names=names, threshold=threshold, trace=trace or None)
+        ) as scanner:
+            return scanner.scan(sources, names=names, threshold=threshold, trace=trace or None)
 
     def predict(self, sources: list[str]) -> np.ndarray:
         """Label array (1 = malicious); thin wrapper over :meth:`scan_batch`."""

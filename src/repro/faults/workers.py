@@ -67,7 +67,7 @@ class Outcome:
     index: int
     kind: str
     ok: bool
-    payload: Any = None  # embed: (vectors, weights, path_count, ms, ms, status, top_paths)
+    payload: Any = None  # embed: ScriptEmbedding; analyze: AnalysisReport dict
     cause: str | None = None  # FAULT_CAUSES member when not ok
     detail: str | None = None
     rusage: dict | None = None
@@ -82,83 +82,8 @@ class Outcome:
 
 
 def build_embed_init(detector) -> dict:
-    """Freeze a fitted detector's per-script pipeline config for workers."""
-    import numpy as np
-
-    config = detector.config
-    return {
-        "extractor_kwargs": {
-            "max_length": config.max_path_length,
-            "max_width": config.max_path_width,
-            "use_dataflow": config.use_dataflow,
-        },
-        "embed_dim": detector.embedder.model.embed_dim,
-        "parameters": {
-            name: np.ascontiguousarray(tensor)
-            for name, tensor in detector.embedder.model.parameters().items()
-        },
-        "max_paths": config.max_paths_per_script,
-    }
-
-
-def _build_embed_state(init: dict) -> dict:
-    from repro.embedding import PathEmbedder
-    from repro.paths import PathExtractor
-
-    embedder = PathEmbedder(embed_dim=init["embed_dim"])
-    embedder.model.load_parameters(init["parameters"])
-    embedder._trained = True
-    return {
-        "extractor": PathExtractor(**init["extractor_kwargs"]),
-        "embedder": embedder,
-        "max_paths": init["max_paths"],
-    }
-
-
-def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
-    """Extract + embed one script; mirrors the sequential stage semantics.
-
-    With ``capture_paths`` the top attention-weighted path signatures ride
-    along as provenance (the Table VII evidence for a traced verdict).
-    """
-    import numpy as np
-
-    from repro.jsparser import JSSyntaxError
-    from repro.paths import ExtractionError
-
-    maybe_inject(source, stage="embed")
-    status = "ok"
-    started = time.perf_counter()
-    try:
-        contexts = state["extractor"].extract_from_source(source)
-    except (JSSyntaxError, ExtractionError, RecursionError):
-        contexts = []
-        status = "parse_error"
-    extract_ms = 1000.0 * (time.perf_counter() - started)
-
-    path_count = len(contexts)
-    started = time.perf_counter()
-    vectors, weights = state["embedder"].embed(contexts)
-    if len(vectors) > state["max_paths"]:
-        top = np.argsort(weights)[::-1][: state["max_paths"]]
-        vectors, weights = vectors[top], weights[top]
-        contexts = [contexts[int(i)] for i in top]
-    embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = _top_attention_paths(contexts, weights) if capture_paths else None
-    return vectors, weights, path_count, extract_ms, embed_ms, status, top_paths
-
-
-def _top_attention_paths(contexts, weights, k: int = 5) -> list[dict]:
-    """The ``k`` highest-attention path contexts as JSON-ready provenance."""
-    import numpy as np
-
-    if len(contexts) == 0 or len(weights) == 0 or len(contexts) != len(weights):
-        return []
-    order = np.argsort(np.asarray(weights, dtype=float))[::-1][:k]
-    return [
-        {"path": contexts[int(i)].signature(), "weight": round(float(weights[int(i)]), 6)}
-        for i in order
-    ]
+    """Freeze a fitted detector's per-script pipeline for workers."""
+    return detector.pipeline.to_init()
 
 
 def _worker_spans(traceparent: str | None, kind: str, elapsed_ms: float, payload: Any) -> list[dict] | None:
@@ -199,13 +124,12 @@ def _worker_spans(traceparent: str | None, kind: str, elapsed_ms: float, payload
     root = span(f"worker.{kind}", ctx.span_id, root_start, elapsed_ms, pid=os.getpid())
     root["span_id"] = root_id
     spans = [root]
-    if kind == "embed" and isinstance(payload, tuple) and len(payload) >= 6:
-        extract_ms, embed_ms, status = payload[3], payload[4], payload[5]
+    if kind == "embed":
         spans.append(
-            span("path_extraction", root_id, root_start, extract_ms, status=status)
+            span("path_extraction", root_id, root_start, payload.extract_ms, status=payload.status)
         )
         spans.append(
-            span("embedding", root_id, root_start + extract_ms / 1000.0, embed_ms)
+            span("embedding", root_id, root_start + payload.extract_ms / 1000.0, payload.embed_ms)
         )
     return spans
 
@@ -215,7 +139,7 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
     limits = ScanLimits.from_dict(limits_dict)
     if limits is not None:
         apply_rlimits(limits)
-    embed_state: dict | None = None
+    pipeline = None
     analyzer = None
     while True:
         try:
@@ -228,9 +152,16 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
         started = time.perf_counter()
         try:
             if kind == "embed":
-                if embed_state is None:
-                    embed_state = _build_embed_state(embed_init)
-                payload = _run_embed(embed_state, source, capture_paths=traceparent is not None)
+                if pipeline is None:
+                    from repro.pipeline.script import ScriptPipeline
+
+                    pipeline = ScriptPipeline.from_init(embed_init)
+                maybe_inject(source, stage="embed")
+                payload = pipeline.run(source)
+                if traceparent is None:
+                    # Kept contexts only feed traced provenance; untraced
+                    # replies skip pickling them.
+                    payload.contexts = None
             elif kind == "analyze":
                 if analyzer is None:
                     from repro.analysis import Analyzer

@@ -1,4 +1,4 @@
-"""Parallel batch-scanning engine.
+"""Batch-scanning engine.
 
 Per-script work (parse → enhanced AST → path contexts → embedding) is
 CPU-bound and embarrassingly parallel, and Table VIII shows it dominates
@@ -8,35 +8,33 @@ therefore:
 
 1. consults the content-addressed :class:`~repro.pipeline.cache.FeatureCache`
    (embeddings are pure functions of source bytes + model parameters),
-2. fans cache misses out over a ``multiprocessing`` pool whose workers hold
-   a private copy of the extractor and the frozen embedding model,
-3. keeps a bounded in-flight window (backpressure: at most
-   ``queue_depth`` scripts are queued or awaiting collection at once, so
-   huge corpora never balloon the parent's memory),
-4. feeds the collected embeddings through the single-process feature
-   transform + classifier and returns a structured
+2. runs each cache miss through the detector's
+   :class:`~repro.pipeline.script.ScriptPipeline` — in-process for
+   ``n_workers=1`` without limits, otherwise inside the workers of one
+   :class:`~repro.faults.IsolatedPool` that the scanner owns from first use
+   until :meth:`BatchScanner.close`,
+3. feeds the embeddings through the single-process feature transform +
+   classifier and returns a structured
    :class:`~repro.pipeline.results.ScanReport`.
 
-Determinism: workers run exactly the numpy operations of the sequential
-path on identical inputs, so ``--workers 4`` output is byte-identical to
-``--workers 1``.  Any failure to start or drive the pool degrades
-gracefully to the sequential path.
+Determinism: pool workers run the same ``ScriptPipeline`` on identical
+inputs, so ``--workers 4`` output is byte-identical to ``--workers 1``.
+A pool that fails to start or transport degrades gracefully to the
+in-process path.
 
-Fault isolation: when :class:`~repro.faults.ScanLimits` are given, pending
-scripts are dispatched through the supervised
-:class:`~repro.faults.IsolatedPool` instead — each under a wall-clock
-deadline and kernel rlimits — so a script that hangs, OOMs, or kills its
-worker is quarantined and answered with a structured degraded verdict
-while every other script in the batch gets its normal, byte-identical
-result.  See DESIGN.md §9.
+Fault isolation: each pool worker has a private pipe and one task at a
+time, so a script that kills its worker comes back as a ``crashed`` result
+instead of hanging the batch.  When :class:`~repro.faults.ScanLimits` are
+active, every script also runs under a wall-clock deadline and kernel
+rlimits, and poison scripts are quarantined and answered with a
+structured degraded verdict while every other script in the batch gets
+its normal, byte-identical result.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,11 +48,10 @@ from repro.faults import (
     Task,
     build_embed_init,
 )
-from repro.faults.workers import _top_attention_paths
 from repro.obs.trace import SpanContext, new_span_id, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
-from .results import STAGE_KEYS, STATUS_OK, STATUS_PARSE_ERROR, ScanReport, ScanResult
+from .results import STAGE_KEYS, STATUS_OK, ScanReport, ScanResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import Analyzer
@@ -62,77 +59,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.deobfuscate import Deobfuscator, NormalizationReport
     from repro.obs import MetricsRegistry, Span, Tracer
 
-# ------------------------------------------------------------------ workers
-#
-# Each pool worker rebuilds the per-script pipeline prefix from the
-# detector's configuration and frozen parameters (sent once via the pool
-# initializer, so they survive spawn-based start methods too).
-
-_WORKER_STATE: dict | None = None
-
-
-def _init_worker(extractor_kwargs: dict, embed_dim: int, parameters: dict, max_paths: int) -> None:
-    global _WORKER_STATE
-    from repro.embedding import PathEmbedder
-    from repro.paths import PathExtractor
-
-    embedder = PathEmbedder(embed_dim=embed_dim)
-    embedder.model.load_parameters(parameters)
-    embedder._trained = True
-    _WORKER_STATE = {
-        "extractor": PathExtractor(**extractor_kwargs),
-        "embedder": embedder,
-        "max_paths": max_paths,
-    }
-
-
-def _embed_source(
-    source: str, capture_paths: bool = False
-) -> tuple[np.ndarray, np.ndarray, int, float, float, str, list | None]:
-    """Extract + embed one script; mirrors ``JSRevealer`` stage semantics."""
-    from repro.jsparser import JSSyntaxError
-    from repro.paths import ExtractionError
-
-    state = _WORKER_STATE
-    status = STATUS_OK
-    started = time.perf_counter()
-    try:
-        contexts = state["extractor"].extract_from_source(source)
-    except (JSSyntaxError, ExtractionError, RecursionError):
-        contexts = []
-        status = STATUS_PARSE_ERROR
-    extract_ms = 1000.0 * (time.perf_counter() - started)
-
-    path_count = len(contexts)
-    started = time.perf_counter()
-    vectors, weights = state["embedder"].embed(contexts)
-    if len(vectors) > state["max_paths"]:
-        top = np.argsort(weights)[::-1][: state["max_paths"]]
-        vectors, weights = vectors[top], weights[top]
-        contexts = [contexts[int(i)] for i in top]
-    embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = _top_attention_paths(contexts, weights) if capture_paths else None
-    return vectors, weights, path_count, extract_ms, embed_ms, status, top_paths
+    from .script import ScriptEmbedding
 
 
 class BatchScanner:
     """Fan-out scanner over a fitted :class:`~repro.core.detector.JSRevealer`.
 
+    A scanner that needs workers starts its :class:`~repro.faults.IsolatedPool`
+    on first use and keeps it across :meth:`scan` calls, so a daemon's
+    micro-batches pay fork + model transfer once.  Call :meth:`close` (or
+    use the scanner as a context manager) when done; a broken pool is
+    discarded and rebuilt lazily.
+
     Args:
         detector: A fitted detector (its embedder/extractor/classifier are
             the single source of truth; the scanner owns no model state).
-        n_workers: Pool size; ``1`` selects the in-process sequential path.
+        n_workers: Pool size; ``1`` without active ``limits`` selects the
+            in-process sequential path.
         cache: Optional content-addressed embedding cache.  Callers are
             responsible for keying it to ``detector.fingerprint()`` —
             :meth:`JSRevealer.scan_batch` does this automatically.
-        queue_depth: Bound on in-flight pool tasks (default
-            ``4 × n_workers``).
-        persistent: Keep the worker pool alive across :meth:`scan` calls.
-            One-shot callers amortize pool startup over a single large
-            batch, but a long-lived daemon scanning many micro-batches
-            would otherwise pay fork + model-transfer on every flush.
-            Call :meth:`close` (or use the scanner as a context manager)
-            when done; a broken pool is discarded and rebuilt lazily.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             each scan records batch size, script count, and per-stage
             latency histograms.
@@ -145,9 +91,10 @@ class BatchScanner:
             through the full pipeline unchanged, so verdicts are identical
             to an untriaged scan for them.
         limits: Optional :class:`~repro.faults.ScanLimits`.  When any bound
-            is set, pending scripts run in the fault-isolated worker pool:
-            a script that overruns its deadline, trips the memory rlimit,
-            or kills its worker comes back as a structured
+            is set, pending scripts run in the worker pool (even with
+            ``n_workers=1``) under a deadline and rlimits: a script that
+            overruns its deadline, trips the memory rlimit, or kills its
+            worker comes back as a structured
             ``timeout``/``oom``/``crashed`` result (with a degraded
             triage-only verdict where the analyzer survives) instead of
             taking the batch down.
@@ -176,8 +123,6 @@ class BatchScanner:
         detector: "JSRevealer",
         n_workers: int = 1,
         cache: FeatureCache | None = None,
-        queue_depth: int | None = None,
-        persistent: bool = False,
         metrics: "MetricsRegistry | None" = None,
         triage: "Analyzer | None" = None,
         limits: ScanLimits | None = None,
@@ -190,9 +135,7 @@ class BatchScanner:
         self.detector = detector
         self.n_workers = n_workers
         self.cache = cache
-        self.queue_depth = queue_depth if queue_depth is not None else max(4 * n_workers, 8)
-        self.persistent = persistent
-        self._pool = None
+        self._pool: IsolatedPool | None = None
         self.triage = triage
         if limits is not None:
             limits.validate()
@@ -201,7 +144,6 @@ class BatchScanner:
         if quarantine is None and self.isolated:
             quarantine = QuarantineJournal()
         self.quarantine = quarantine
-        self._iso_pool: IsolatedPool | None = None
         self.tracer = tracer
         self.deobfuscate = deobfuscate
         self.metrics = metrics
@@ -249,24 +191,17 @@ class BatchScanner:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Tear down the persistent worker pools, if any are running."""
+        """Shut the worker pool down, if one is running; idempotent."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.close()
             self._pool = None
-        self._close_iso_pool()
 
-    def _ensure_iso_pool(self) -> IsolatedPool:
-        if self._iso_pool is None:
-            self._iso_pool = IsolatedPool(
+    def _ensure_pool(self) -> IsolatedPool:
+        if self._pool is None:
+            self._pool = IsolatedPool(
                 build_embed_init(self.detector), limits=self.limits, n_workers=self.n_workers
             )
-        return self._iso_pool
-
-    def _close_iso_pool(self) -> None:
-        if self._iso_pool is not None:
-            self._iso_pool.close()
-            self._iso_pool = None
+        return self._pool
 
     def _count_failure(self, cause: str | None) -> None:
         if self.metrics is not None and cause in FAULT_CAUSES:
@@ -454,48 +389,43 @@ class BatchScanner:
                 self._count_failure(known.cause)
             pending = still_pending
 
+        pipeline = detector.pipeline
+
+        def settle(i: int, script: "ScriptEmbedding") -> None:
+            entries[i] = script.entry
+            statuses[i] = script.status
+            per_file_ms[i]["path_extraction"] = script.extract_ms
+            per_file_ms[i]["embedding"] = script.embed_ms
+            if recording:
+                top_paths[i] = script.top_paths()
+            # Pooled worker time still lands in the detector's Table VIII
+            # accounting, even though wall-clock overlaps under the pool.
+            detector.record_stages(script)
+
         workers_used = 1
-        if self.isolated:
-            workers_used = self.n_workers
+        if self.isolated or (self.n_workers > 1 and len(pending) > 1):
             try:
-                self._embed_isolated(
-                    pending, sources, names, keys, entries, per_file_ms, statuses, fault_info,
-                    faulted, root=root, file_span_ids=file_span_ids,
-                    worker_spans=worker_spans, top_paths=top_paths,
+                embedded = self._embed_pooled(
+                    pending, sources, names, keys, statuses, fault_info, faulted,
+                    root=root, file_span_ids=file_span_ids, worker_spans=worker_spans,
                 )
+                for i, script in embedded.items():
+                    settle(i, script)
                 self._degraded_analyses(
                     faulted, sources, names, analyses, per_file_ms,
                     norm_reports=norm_reports, raw_sources=raw_sources,
                     root=root, file_span_ids=file_span_ids, worker_spans=worker_spans,
                 )
-            except Exception as error:  # pool bootstrap failure, not a task fault
-                self._close_iso_pool()
-                print(
-                    f"warning: isolated pool failed ({error!r}); scanning sequentially",
-                    file=sys.stderr,
-                )
-                workers_used = 1
-            finally:
-                if not self.persistent:
-                    self._close_iso_pool()
-        elif self.n_workers > 1 and len(pending) > 1:
-            try:
-                self._embed_parallel(
-                    pending, sources, entries, per_file_ms, statuses,
-                    capture_paths=recording, top_paths=top_paths,
-                )
                 workers_used = self.n_workers
-            except Exception as error:  # pool start/transport failure
+            except Exception as error:  # pool start/transport failure, not a task fault
+                self.close()
                 print(
                     f"warning: worker pool failed ({error!r}); scanning sequentially",
                     file=sys.stderr,
                 )
-        for i in pending:  # sequential path + parallel-failure backstop
-            if entries[i] is not None or statuses[i] in FAULT_CAUSES:
-                continue
-            entries[i], statuses[i], top_paths[i] = self._embed_sequential(
-                sources[i], per_file_ms[i], capture_paths=recording
-            )
+        for i in pending:  # in-process path + pool-failure backstop
+            if entries[i] is None and statuses[i] not in FAULT_CAUSES:
+                settle(i, pipeline.run(sources[i]))
         if self.cache is not None:
             for i in pending:
                 # Only clean embeddings are cached: a parse_error entry would
@@ -516,10 +446,8 @@ class BatchScanner:
                     if self.metrics is not None:
                         self._m_dedup_cluster.inc()
                     continue
-                entries[i], statuses[i], top_paths[i] = self._embed_sequential(
-                    sources[i], per_file_ms[i], capture_paths=recording
-                )
-                if entries[i] is not None and statuses[i] == STATUS_OK:
+                settle(i, pipeline.run(sources[i]))
+                if statuses[i] == STATUS_OK:
                     self.cache.put(keys[i], entries[i])
 
         # In-batch duplicates copy their primary's outcome wholesale (the
@@ -827,159 +755,33 @@ class BatchScanner:
             provenance["cluster_features"] = self.detector.feature_provenance(row)
         return provenance
 
-    # ------------------------------------------------------------ embedding
+    # ------------------------------------------------------------- the pool
 
-    def _embed_sequential(
-        self, source: str, file_ms: dict[str, float], capture_paths: bool = False
-    ) -> tuple[CacheEntry, str, list | None]:
-        from repro.jsparser import JSSyntaxError
-        from repro.paths import ExtractionError
-
-        detector = self.detector
-        status = STATUS_OK
-        started = time.perf_counter()
-        with detector._timed("path_extraction"):
-            try:
-                contexts = detector.extractor.extract_from_source(source)
-            except (JSSyntaxError, ExtractionError, RecursionError):
-                contexts = []
-                status = STATUS_PARSE_ERROR
-        file_ms["path_extraction"] = 1000.0 * (time.perf_counter() - started)
-        started = time.perf_counter()
-        top_paths: list | None = None
-        if capture_paths:
-            vectors, weights, kept = detector.embed_script(contexts, return_indices=True)
-            file_ms["embedding"] = 1000.0 * (time.perf_counter() - started)
-            top_paths = _top_attention_paths([contexts[int(j)] for j in kept], weights)
-        else:
-            vectors, weights = detector.embed_script(contexts)
-            file_ms["embedding"] = 1000.0 * (time.perf_counter() - started)
-        entry = CacheEntry(vectors=vectors, weights=weights, path_count=len(contexts))
-        return entry, status, top_paths
-
-    def _create_pool(self):
-        detector = self.detector
-        config = detector.config
-        parameters = {
-            name: np.ascontiguousarray(tensor)
-            for name, tensor in detector.embedder.model.parameters().items()
-        }
-        extractor_kwargs = {
-            "max_length": config.max_path_length,
-            "max_width": config.max_path_width,
-            "use_dataflow": config.use_dataflow,
-        }
-        context = multiprocessing.get_context()
-        return context.Pool(
-            processes=self.n_workers,
-            initializer=_init_worker,
-            initargs=(extractor_kwargs, detector.embedder.model.embed_dim, parameters, config.max_paths_per_script),
-        )
-
-    def _embed_parallel(
-        self,
-        pending: list[int],
-        sources: list[str],
-        entries: list[CacheEntry | None],
-        per_file_ms: list[dict[str, float]],
-        statuses: list[str],
-        capture_paths: bool = False,
-        top_paths: list[list | None] | None = None,
-    ) -> None:
-        if self.persistent:
-            if self._pool is None:
-                self._pool = self._create_pool()
-            try:
-                self._drive_pool(
-                    self._pool, pending, sources, entries, per_file_ms, statuses,
-                    capture_paths, top_paths,
-                )
-            except Exception:
-                # A broken persistent pool would poison every later scan;
-                # drop it so the next parallel scan rebuilds from scratch.
-                self.close()
-                raise
-        else:
-            with self._create_pool() as pool:
-                self._drive_pool(
-                    pool, pending, sources, entries, per_file_ms, statuses,
-                    capture_paths, top_paths,
-                )
-
-    def _drive_pool(
-        self,
-        pool,
-        pending: list[int],
-        sources: list[str],
-        entries: list[CacheEntry | None],
-        per_file_ms: list[dict[str, float]],
-        statuses: list[str],
-        capture_paths: bool = False,
-        top_paths: list[list | None] | None = None,
-    ) -> None:
-        detector = self.detector
-        todo = iter(pending)
-        in_flight: deque = deque()
-
-        def submit() -> bool:
-            position = next(todo, None)
-            if position is None:
-                return False
-            in_flight.append(
-                (position, pool.apply_async(_embed_source, (sources[position], capture_paths)))
-            )
-            return True
-
-        for _ in range(self.queue_depth):
-            if not submit():
-                break
-        while in_flight:
-            position, handle = in_flight.popleft()
-            vectors, weights, path_count, extract_ms, embed_ms, status, paths = handle.get()
-            entries[position] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
-            statuses[position] = status
-            per_file_ms[position]["path_extraction"] = extract_ms
-            per_file_ms[position]["embedding"] = embed_ms
-            if top_paths is not None:
-                top_paths[position] = paths
-            # Worker CPU time still lands in the detector's Table VIII
-            # accounting, even though wall-clock overlaps under the pool.
-            detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
-            detector.stage_counts["path_extraction"] += 1
-            detector.stage_seconds["embedding"] += embed_ms / 1000.0
-            detector.stage_counts["embedding"] += 1
-            submit()
-
-    # ------------------------------------------------------------- isolation
-
-    def _embed_isolated(
+    def _embed_pooled(
         self,
         pending: list[int],
         sources: list[str],
         names: list[str],
         keys: list[str | None],
-        entries: list[CacheEntry | None],
-        per_file_ms: list[dict[str, float]],
         statuses: list[str],
         fault_info: list[dict | None],
         faulted: list[int],
         root: "Span | None" = None,
         file_span_ids: list[str] | None = None,
         worker_spans: list[list | None] | None = None,
-        top_paths: list[list | None] | None = None,
-    ) -> None:
-        """Run pending scripts through the fault-isolated pool.
+    ) -> "dict[int, ScriptEmbedding]":
+        """Run pending scripts through the worker pool.
 
-        Faults are settled in place: status + fault envelope + quarantine
-        record; clean outcomes land exactly like the plain pool's.  When
-        tracing (``root`` given), each task carries a ``traceparent``
-        naming its pre-generated file span id, so the spans the worker
-        ships back re-parent correctly under the batch trace.
+        Returns the clean embeddings by script index; faults are settled in
+        place (status + fault envelope + quarantine record).  When tracing
+        (``root`` given), each task carries a ``traceparent`` naming its
+        pre-generated file span id, so the spans the worker ships back
+        re-parent correctly under the batch trace.
         """
+        embedded: dict[int, ScriptEmbedding] = {}
         if not pending:
-            return
-        detector = self.detector
-        pool = self._ensure_iso_pool()
+            return embedded
+        pool = self._ensure_pool()
         recording = root is not None and file_span_ids is not None
         tasks = [
             Task(
@@ -998,19 +800,9 @@ class BatchScanner:
         for outcome in pool.run(tasks):
             i = outcome.index
             if outcome.ok:
-                vectors, weights, path_count, extract_ms, embed_ms, status, paths = outcome.payload
-                entries[i] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
-                statuses[i] = status
-                per_file_ms[i]["path_extraction"] = extract_ms
-                per_file_ms[i]["embedding"] = embed_ms
-                if top_paths is not None:
-                    top_paths[i] = paths
+                embedded[i] = outcome.payload
                 if worker_spans is not None and outcome.spans:
                     worker_spans[i] = list(outcome.spans)
-                detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
-                detector.stage_counts["path_extraction"] += 1
-                detector.stage_seconds["embedding"] += embed_ms / 1000.0
-                detector.stage_counts["embedding"] += 1
                 continue
             statuses[i] = outcome.cause or "crashed"
             fault_info[i] = {
@@ -1033,6 +825,7 @@ class BatchScanner:
                         rusage=outcome.rusage,
                     )
                 )
+        return embedded
 
     def _degraded_analyses(
         self,
@@ -1059,7 +852,7 @@ class BatchScanner:
         todo = [i for i in faulted if analyses[i] is None]
         if not todo:
             return
-        pool = self._ensure_iso_pool()
+        pool = self._ensure_pool()
         recording = root is not None and file_span_ids is not None
         tasks = [
             Task(

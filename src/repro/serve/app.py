@@ -95,7 +95,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8077  # 0 = ephemeral (tests/benches read .bound_port)
-    n_workers: int = 1  # BatchScanner pool size; 1 = in-process sequential
+    n_workers: int = 1  # scanner's IsolatedPool size, kept for the daemon's life; 1 = in-process
     max_batch: int = 8
     max_wait_ms: float = 25.0
     queue_limit: int = 64
@@ -200,18 +200,9 @@ class ScanServer:
         self.tracer = Tracer(sample_rate=self.config.trace_sample_rate, sink=self.traces.put)
         self.log = get_logger("serve")
         # One scanner, one executor thread: scans serialize behind the
-        # batcher, so the scanner (and its persistent pools, when workers
-        # or isolation are enabled) is never entered concurrently.
-        self.scanner = BatchScanner(
-            detector,
-            n_workers=self.config.n_workers,
-            cache=self.cache,
-            persistent=self.config.n_workers > 1 or (limits is not None and limits.active),
-            metrics=self.metrics,
-            limits=limits,
-            quarantine=self.quarantine if limits is not None and limits.active else None,
-            tracer=Tracer(sample_rate=0.0),
-        )
+        # batcher, so the scanner (and its worker pool, when workers or
+        # isolation are enabled) is never entered concurrently.
+        self.scanner = self._build_scanner(detector, self.cache)
         # Static analysis shares the metrics registry, so /metrics exposes
         # per-rule finding counters next to the scan histograms.
         self.analyzer = Analyzer(metrics=self.metrics)
@@ -928,18 +919,20 @@ class ScanServer:
             cache_dir=self.config.cache_dir,
             metrics=self.metrics,
         )
+        return detector, self._build_scanner(detector, cache), cache
+
+    def _build_scanner(self, detector, cache: FeatureCache) -> BatchScanner:
+        """The served scanner, built alike at boot and on reload."""
         limits = self.config.scan_limits()
-        scanner = BatchScanner(
+        return BatchScanner(
             detector,
             n_workers=self.config.n_workers,
             cache=cache,
-            persistent=self.config.n_workers > 1 or (limits is not None and limits.active),
             metrics=self.metrics,
             limits=limits,
             quarantine=self.quarantine if limits is not None and limits.active else None,
             tracer=Tracer(sample_rate=0.0),
         )
-        return detector, scanner, cache
 
     def _swap_model(self, detector, scanner, cache) -> None:
         """Swap the served model; runs ON the single scan-executor thread.

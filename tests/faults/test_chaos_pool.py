@@ -7,6 +7,8 @@ is byte-identical to a fault-free scan; and re-scanning skips the poison
 entirely via the journal.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,10 @@ class TestScannerChaos:
         sources = list(split.test.sources[:4]) + [HANG, ALLOCBOMB, EXIT137, RAISE]
         journal = QuarantineJournal()
         metrics = MetricsRegistry()
-        scanner = BatchScanner(
+        with BatchScanner(
             detector, n_workers=2, limits=LIMITS, quarantine=journal, metrics=metrics
-        )
-        report = scanner.scan(sources)
+        ) as scanner:
+            report = scanner.scan(sources)
 
         statuses = [r.status for r in report.results]
         assert statuses[:4] == ["ok"] * 4
@@ -128,28 +130,28 @@ class TestScannerChaos:
 
     def test_rescan_skips_known_poison(self, detector, inject):
         journal = QuarantineJournal()
-        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS, quarantine=journal)
-        first = scanner.scan([EXIT137])
+        with BatchScanner(detector, n_workers=1, limits=LIMITS, quarantine=journal) as scanner:
+            first = scanner.scan([EXIT137])
+            second = scanner.scan([EXIT137])
         assert first.results[0].status == "crashed"
         assert "known" not in (first.results[0].fault or {})
 
-        second = scanner.scan([EXIT137])
         assert second.results[0].status == "crashed"
         assert second.results[0].fault["known"] is True
         assert len(journal) == 1
 
     def test_oom_script_reports_rusage(self, detector, inject):
         journal = QuarantineJournal()
-        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS, quarantine=journal)
-        report = scanner.scan([ALLOCBOMB])
+        with BatchScanner(detector, n_workers=1, limits=LIMITS, quarantine=journal) as scanner:
+            report = scanner.scan([ALLOCBOMB])
         assert report.results[0].status == "oom"
         entry = journal.entries()[0]
         assert entry.rusage is not None and entry.rusage["max_rss_kb"] > 0
 
     def test_limits_without_faults_match_plain_scan(self, detector, split, clean_report):
         # Isolation on, chaos seam dormant: verdicts are still byte-identical.
-        scanner = BatchScanner(detector, n_workers=2, limits=LIMITS)
-        report = scanner.scan(list(split.test.sources[:4]))
+        with BatchScanner(detector, n_workers=2, limits=LIMITS) as scanner:
+            report = scanner.scan(list(split.test.sources[:4]))
         assert [r.status for r in report.results] == ["ok"] * 4
         assert report.fault_count == 0
         for clean, isolated in zip(clean_report.results, report.results):
@@ -159,11 +161,35 @@ class TestScannerChaos:
     def test_result_json_round_trip_keeps_fault_fields(self, detector, inject):
         from repro.pipeline import ScanReport
 
-        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS)
-        report = scanner.scan([HANG])
+        with BatchScanner(detector, n_workers=1, limits=LIMITS) as scanner:
+            report = scanner.scan([HANG])
         reloaded = ScanReport.from_json(report.to_json())
         result = reloaded.results[0]
         assert result.status == "timeout"
         assert result.degraded == report.results[0].degraded
         assert result.fault["cause"] == "timeout"
         assert reloaded.fault_count == 1
+
+
+class TestUnlimitedPoolChaos:
+    """Without limits the worker pool still attributes a dead worker."""
+
+    def test_worker_death_returns_crashed_instead_of_hanging(
+        self, detector, split, clean_report, inject
+    ):
+        with BatchScanner(detector, n_workers=2) as scanner:
+            report = scanner.scan([EXIT137] + list(split.test.sources[:4]))
+        assert report.results[0].status == "crashed"
+        assert [r.status for r in report.results[1:]] == ["ok"] * 4
+        for clean, survivor in zip(clean_report.results, report.results[1:]):
+            assert clean.verdict == survivor.verdict
+            assert clean.label == survivor.label
+            assert clean.probability == survivor.probability
+        assert np.array_equal(clean_report.probability_matrix, report.probability_matrix[1:])
+
+    def test_scan_batch_leaves_no_workers_behind(self, detector, split):
+        sources = list(split.test.sources[:4])
+        detector.scan_batch(sources, n_workers=2)
+        assert multiprocessing.active_children() == []
+        detector.scan_batch(sources, limits=LIMITS)
+        assert multiprocessing.active_children() == []

@@ -32,10 +32,10 @@ def spans_named(trace, name):
 
 class TestIsolatedTracing:
     def test_worker_embed_spans_reparent_under_script_spans(self, detector, split):
-        scanner = BatchScanner(
+        with BatchScanner(
             detector, n_workers=2, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
-        report = scanner.scan(split.test.sources[:4], trace=True)
+        ) as scanner:
+            report = scanner.scan(split.test.sources[:4], trace=True)
         assert report.trace is not None
         assert all(result.status == "ok" for result in report.results)
         for result in report.results:
@@ -50,20 +50,20 @@ class TestIsolatedTracing:
             assert result.trace["provenance"]["top_paths"]
 
     def test_all_spans_share_the_batch_trace_id(self, detector, split):
-        scanner = BatchScanner(
+        with BatchScanner(
             detector, n_workers=2, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
-        report = scanner.scan(split.test.sources[:3], trace=True)
+        ) as scanner:
+            report = scanner.scan(split.test.sources[:3], trace=True)
         trace_id = report.trace["trace_id"]
         # The report-level span list is flat (one entry per finished span).
         assert all(span["trace_id"] == trace_id for span in report.trace["spans"])
         assert any(span["name"] == "worker.embed" for span in report.trace["spans"])
 
     def test_killed_worker_gets_synthesized_terminal_span(self, detector, split, inject):
-        scanner = BatchScanner(
+        with BatchScanner(
             detector, n_workers=1, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
-        report = scanner.scan([HANG, split.test.sources[0]], trace=True)
+        ) as scanner:
+            report = scanner.scan([HANG, split.test.sources[0]], trace=True)
         hung = report.results[0]
         assert hung.status == "timeout"
         terminal = spans_named(hung.trace, "worker.embed")
@@ -82,18 +82,18 @@ class TestIsolatedTracing:
         assert spans_named(healthy.trace, "worker.embed")[0]["status"] == "ok"
 
     def test_batch_root_marks_error_when_faults_present(self, detector, split, inject):
-        scanner = BatchScanner(
+        with BatchScanner(
             detector, n_workers=1, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
-        report = scanner.scan([HANG], trace=True)
+        ) as scanner:
+            report = scanner.scan([HANG], trace=True)
         roots = span_tree(report.trace["spans"])
         assert roots[0]["name"] == "scan.batch"
         assert roots[0]["status"] == "error"
         assert roots[0]["attributes"]["fault_count"] == 1
 
     def test_untraced_isolated_scan_has_no_trace(self, detector, split):
-        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS)
-        report = scanner.scan(split.test.sources[:2])
+        with BatchScanner(detector, n_workers=1, limits=LIMITS) as scanner:
+            report = scanner.scan(split.test.sources[:2])
         assert report.trace is None
         assert all(result.trace is None for result in report.results)
         assert all(result.status == "ok" for result in report.results)

@@ -1,10 +1,13 @@
 """Integration tests for the parallel batch scanner and cache wiring."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
+from repro.faults import ScanLimits
 from repro.obs import MetricsRegistry
 from repro.pipeline import BatchScanner, FeatureCache
 
@@ -22,22 +25,38 @@ def detector(split):
     return det
 
 
+def assert_same_verdicts(expected, actual):
+    assert [r.verdict for r in expected.results] == [r.verdict for r in actual.results]
+    assert np.array_equal(expected.label_array, actual.label_array)
+    assert np.array_equal(expected.probability_matrix, actual.probability_matrix)
+    assert [r.path_count for r in expected.results] == [r.path_count for r in actual.results]
+
+
 class TestParallelEquivalence:
     def test_parallel_matches_sequential_bytewise(self, detector, split):
         sequential = BatchScanner(detector, n_workers=1).scan(split.test.sources)
-        parallel = BatchScanner(detector, n_workers=2).scan(split.test.sources)
+        with BatchScanner(detector, n_workers=2) as scanner:
+            parallel = scanner.scan(split.test.sources)
         assert parallel.workers_used == 2
-        assert np.array_equal(sequential.label_array, parallel.label_array)
-        assert np.array_equal(sequential.probability_matrix, parallel.probability_matrix)
-        assert [r.path_count for r in sequential.results] == [r.path_count for r in parallel.results]
+        assert_same_verdicts(sequential, parallel)
+
+    def test_isolated_parallel_matches_sequential_bytewise(self, detector, split):
+        sequential = BatchScanner(detector, n_workers=1).scan(split.test.sources)
+        limits = ScanLimits(timeout_s=30.0, max_rss_mb=512)
+        with BatchScanner(detector, n_workers=2, limits=limits) as scanner:
+            isolated = scanner.scan(split.test.sources)
+        assert isolated.workers_used == 2
+        assert [r.status for r in isolated.results] == [r.status for r in sequential.results]
+        assert_same_verdicts(sequential, isolated)
 
     def test_pool_failure_degrades_to_sequential(self, detector, split, monkeypatch, capsys):
         def boom(self, *args, **kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(BatchScanner, "_embed_parallel", boom)
+        monkeypatch.setattr(BatchScanner, "_embed_pooled", boom)
         baseline = BatchScanner(detector, n_workers=1).scan(split.test.sources[:4])
-        degraded = BatchScanner(detector, n_workers=3).scan(split.test.sources[:4])
+        with BatchScanner(detector, n_workers=3) as scanner:
+            degraded = scanner.scan(split.test.sources[:4])
         assert degraded.workers_used == 1
         assert np.array_equal(baseline.label_array, degraded.label_array)
         assert "scanning sequentially" in capsys.readouterr().err
@@ -131,22 +150,25 @@ class TestInstrumentation:
 
 class TestPersistentPool:
     def test_persistent_scanner_reuses_pool_and_matches_oneshot(self, detector, split):
+        """The pool survives between scans and context exit closes it."""
         sources = split.test.sources
         baseline = BatchScanner(detector, n_workers=1).scan(sources)
-        with BatchScanner(detector, n_workers=2, persistent=True) as scanner:
+        with BatchScanner(detector, n_workers=2) as scanner:
             first = scanner.scan(sources)
             pool = scanner._pool
             assert pool is not None  # pool survives between scans
             second = scanner.scan(sources)
             assert scanner._pool is pool
+            assert pool.workers_lost == 0
         assert scanner._pool is None  # context exit closes it
+        assert multiprocessing.active_children() == []
         for report in (first, second):
             assert report.workers_used == 2
             assert np.array_equal(baseline.label_array, report.label_array)
             assert np.array_equal(baseline.probability_matrix, report.probability_matrix)
 
     def test_close_is_idempotent_and_safe_without_pool(self, detector):
-        scanner = BatchScanner(detector, n_workers=1, persistent=True)
+        scanner = BatchScanner(detector, n_workers=1)
         scanner.close()
         scanner.close()
 
